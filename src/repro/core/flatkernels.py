@@ -36,6 +36,15 @@ array programs built around three ideas:
   which has the widest admissible range) resolves most rows; the exact
   enumeration runs only on the remainder.
 
+* **Batch-size break-even.**  A window-keyed sweep touches every
+  interval of the store, whereas the python kernels touch only the two
+  label slices of each pair.  :meth:`NumPyFlatKernels.span_batch` and
+  :meth:`~NumPyFlatKernels.theta_batch` therefore hand a batch to the
+  python kernels when ``len(pairs) * SWEEP_BREAK_EVEN`` is below the
+  store's out-interval count, so a small batch (a served micro-batch,
+  a single pair) costs only its own labels.  The rule weighs batch
+  size against store size and nothing else.
+
 NumPy is an **optional** dependency: this module imports without it,
 :func:`available` reports whether it can be used, and :func:`select`
 implements the ``backend="auto"|"python"|"numpy"`` feature flag of
@@ -58,6 +67,7 @@ from itertools import chain
 from typing import List, Sequence
 
 from repro.core.intervals import validate_theta_window
+from repro.core.queries import flat_span_batch, flat_theta_batch
 from repro.errors import IndexBuildError
 
 try:  # NumPy is optional; every entry point below guards on _np.
@@ -72,6 +82,18 @@ BACKENDS = ("auto", "python", "numpy", "native")
 #: (``(S + T) * num_ranks`` float32 cells plus the ``S × T`` product).
 #: Past it the kernels switch to the sorted composite-key sweep.
 GEMM_BUDGET_BYTES = 1 << 26
+
+#: Out-intervals per pair below which a batch skips the whole-store
+#: sweep: :meth:`NumPyFlatKernels.span_batch` / ``theta_batch`` run the
+#: python kernels when ``len(pairs) * SWEEP_BREAK_EVEN`` is below
+#: ``len(store.out.starts)``.  Fixed by a kernel-level sweep: span then
+#: θ on batches of 1-4,096 uniform pairs, a fresh window per call so
+#: the memos miss as they do on the serving path (2-vCPU Xeon, numpy
+#: 2.4, 12 windows per size).  The backends cross between 512 and
+#: 1,024 pairs on email-eu (23,351 out-intervals: 46-23 per pair) and
+#: at ~1,024 on enron (47,654: ~47 per pair); a single pair costs
+#: 2,100-4,500 µs on numpy against ~40 µs on python.
+SWEEP_BREAK_EVEN = 32
 
 
 def available() -> bool:
@@ -288,10 +310,12 @@ class NumPyFlatKernels:
 
     backend = "numpy"
 
-    __slots__ = ("store", "_rank", "_o", "_i", "_nranks", "_nverts")
+    __slots__ = ("store", "rank", "_rank", "_o", "_i", "_nranks",
+                 "_nverts")
 
     def __init__(self, store, rank: Sequence[int]):
         self.store = store
+        self.rank = rank  # as given, for the python kernels
         self._rank = _np.asarray(rank, dtype=_np.int64)
         self._nranks = max(1, len(self._rank))
         self._o = _Direction(store.out)
@@ -314,6 +338,11 @@ class NumPyFlatKernels:
         ukeys, inverse = np.unique(keys, return_inverse=True)
         uu = ukeys // self._nverts
         return uu, ukeys - uu * self._nverts, inverse
+
+    def _below_break_even(self, pairs) -> bool:
+        """Would a whole-store sweep cost more than *pairs*' own labels?
+        (See :data:`SWEEP_BREAK_EVEN`.)"""
+        return len(pairs) * SWEEP_BREAK_EVEN < len(self._o.starts)
 
     def _gemm_fits(self, n_src, n_tgt) -> bool:
         cells = (n_src + n_tgt) * self._nranks + n_src * n_tgt
@@ -348,6 +377,8 @@ class NumPyFlatKernels:
         identical to :func:`~repro.core.queries.flat_span_batch`."""
         if len(pairs) == 0:
             return []
+        if self._below_break_even(pairs):
+            return flat_span_batch(self.store, self.rank, pairs, ws, we)
         uis, vis = self._pair_arrays(pairs)
         return self._span_answers(uis, vis, ws, we).tolist()
 
@@ -394,6 +425,9 @@ class NumPyFlatKernels:
         identical to :func:`~repro.core.queries.flat_theta_batch`."""
         if len(pairs) == 0:
             return []
+        if self._below_break_even(pairs):
+            return flat_theta_batch(self.store, self.rank, pairs, ws, we,
+                                    theta)
         uis, vis = self._pair_arrays(pairs)
         uu, vv, inverse = self._dedup(uis, vis)
         return self._theta_answers(uu, vv, ws, we, theta)[inverse].tolist()

@@ -570,6 +570,34 @@ def _numpy_kernels(index, store):
     return select(store, index.order.rank, "auto")
 
 
+def _array_span(kern, pairs, ws, we):
+    """*kern*'s vectorized span answers for *pairs*.
+
+    Numpy kernels hand batches below their break-even
+    (:data:`~repro.core.flatkernels.SWEEP_BREAK_EVEN`) to the python
+    kernels, and fuzz stores are small, so ``span_batch`` alone would
+    leave the array path uncovered; this calls the array entry
+    directly at any batch size.
+    """
+    from repro.core.flatkernels import NumPyFlatKernels
+
+    if not isinstance(kern, NumPyFlatKernels):
+        return kern.span_batch(pairs, ws, we)
+    uis, vis = kern._pair_arrays(pairs)
+    return kern._span_answers(uis, vis, ws, we).tolist()
+
+
+def _array_theta(kern, pairs, ws, we, theta):
+    """:func:`_array_span`'s θ twin (``_theta_answers`` takes unique
+    pairs, so dedup and scatter back)."""
+    from repro.core.flatkernels import NumPyFlatKernels
+
+    if not isinstance(kern, NumPyFlatKernels):
+        return kern.theta_batch(pairs, ws, we, theta)
+    uu, vv, inverse = kern._dedup(*kern._pair_arrays(pairs))
+    return kern._theta_answers(uu, vv, ws, we, theta)[inverse].tolist()
+
+
 def _native_kernels(index, store):
     """Native-backend kernels over *store*, or ``None`` without numpy.
 
@@ -620,7 +648,7 @@ def _check_flat_span(index, store, u, v, win, found, prefix) -> None:
     if kern is not None and ui != vi:
         py = queries.flat_span_batch(store, rank, [(ui, vi)],
                                      win.start, win.end)[0]
-        npy = kern.span_batch([(ui, vi)], win.start, win.end)[0]
+        npy = _array_span(kern, [(ui, vi)], win.start, win.end)[0]
         if npy != py:
             _mismatch(found, prefix + f"span-{kern.backend}",
                       f"{kern.backend}={npy}, python batch={py}", u, v, win)
@@ -665,7 +693,7 @@ def _check_flat_theta(index, store, u, v, win, theta, found, prefix) -> None:
     if kern is not None and ui != vi:
         py = queries.flat_theta_batch(store, rank, [(ui, vi)],
                                       win.start, win.end, theta)[0]
-        npy = kern.theta_batch([(ui, vi)], win.start, win.end, theta)[0]
+        npy = _array_theta(kern, [(ui, vi)], win.start, win.end, theta)[0]
         if npy != py:
             _mismatch(found, prefix + f"theta-{kern.backend}",
                       f"{kern.backend}={npy}, python batch={py}",
@@ -795,7 +823,7 @@ def check_flat_index(
                 nat = None  # "auto" already resolved to native
             py = queries.flat_span_batch(store, rank, pairs,
                                          win.start, win.end)
-            npy = kern.span_batch(pairs, win.start, win.end)
+            npy = _array_span(kern, pairs, win.start, win.end)
             for (ui, vi), a, b in zip(pairs, py, npy):
                 if a != b:
                     _mismatch(found, prefix + f"span-{kern.backend}",
@@ -815,7 +843,7 @@ def check_flat_index(
                         break
             py = queries.flat_theta_batch(store, rank, pairs,
                                           win.start, win.end, theta)
-            npy = kern.theta_batch(pairs, win.start, win.end, theta)
+            npy = _array_theta(kern, pairs, win.start, win.end, theta)
             for (ui, vi), a, b in zip(pairs, py, npy):
                 if a != b:
                     _mismatch(found, prefix + f"theta-{kern.backend}",

@@ -15,11 +15,13 @@ query buys kernel-rate throughput when traffic is concurrent — under
 load batches fill long before the timer fires, so the knob costs the
 most exactly when it matters least.
 
-The batcher lives on one event loop; batch execution happens off-loop
-(the ``execute`` coroutine typically wraps ``run_in_executor``), so
-the loop keeps reading and coalescing the *next* micro-batch while the
-current one runs.  That concurrency is why the engine underneath must
-be constructed ``thread_safe=True``.
+The batcher lives on one event loop, and so does batch execution: the
+server's ``execute`` coroutine calls the engine directly.  The engine
+is pure python under the GIL, so running it on an executor thread
+would buy no overlap — a flush still yields to the loop first (it runs
+as a task), so lines already read are parsed and parked before the
+batch runs, and those that arrive during it coalesce into the *next*
+micro-batch.  With one thread owning it, the engine needs no locks.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 BatchKey = Tuple[str, int, int, Optional[int]]
 
 #: ``execute(key, pairs) -> answers`` — provided by the server; runs
-#: the engine batch call (usually in an executor thread).  An executor
+#: the engine batch call (on the event loop).  An executor
 #: accepting a third parameter additionally receives the batch's trace
 #: metadata (``{"batch": label, "traces": [...]}``) so the engine-side
 #: span can be linked back to the batch that spawned it.

@@ -59,11 +59,19 @@ OVERLOADED = "overloaded"
 QUOTA_EXCEEDED = "quota-exceeded"
 SHUTTING_DOWN = "shutting-down"
 INTERNAL = "internal"
+#: A request line longer than :data:`MAX_FRAME_BYTES`; the server
+#: replies once and closes the connection (the rest of the line cannot
+#: be told apart from the next request).
+FRAME_TOO_LARGE = "frame-too-large"
 
 ERROR_CODES = (
     BAD_REQUEST, UNKNOWN_VERTEX, BAD_WINDOW, UNSUPPORTED,
-    OVERLOADED, QUOTA_EXCEEDED, SHUTTING_DOWN, INTERNAL,
+    OVERLOADED, QUOTA_EXCEEDED, SHUTTING_DOWN, INTERNAL, FRAME_TOO_LARGE,
 )
+
+#: Request lines longer than this many bytes are refused with
+#: :data:`FRAME_TOO_LARGE` (the server's stream-reader buffer limit).
+MAX_FRAME_BYTES = 1 << 16
 
 #: Query operations (coalesced into micro-batches) vs. control
 #: operations (answered immediately, never queued behind a batch).

@@ -23,10 +23,10 @@ index into a service.  The pieces, and why each exists:
   reference dies.  Zero in-flight queries fail.
 * **Pre-fork workers.**  The parent binds the listening socket, forks
   N children, and forwards ``SIGHUP``/``SIGTERM``; each child runs its
-  own event loop, engine, and executor, so workers share nothing but
-  the socket and the page cache — which is why the per-worker engine
-  only needs ``thread_safe=True`` against its own coalescer, never
-  cross-process locks.
+  own event loop and engine, so workers share nothing but the socket
+  and the page cache.  Each worker runs its engine batches on its
+  event loop (pure python under the GIL gains nothing from a thread
+  hop), so the engine is single-owner and lock-free.
 
 Protocol: newline-delimited JSON (:mod:`repro.serve.protocol`) over a
 Unix socket or TCP.  Telemetry: ``server_*`` metrics in
@@ -41,7 +41,6 @@ import signal
 import socket as socket_module
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -57,7 +56,9 @@ from repro.serve.batching import BatchKey, MicroBatcher
 from repro.serve.engine import QueryEngine
 from repro.serve.protocol import (
     BAD_WINDOW,
+    FRAME_TOO_LARGE,
     INTERNAL,
+    MAX_FRAME_BYTES,
     SHUTTING_DOWN,
     UNKNOWN_VERTEX,
     UNSUPPORTED,
@@ -68,6 +69,10 @@ from repro.serve.protocol import (
     encode_result,
     parse_request,
 )
+
+
+#: Seconds a graceful stop waits for open connections to flush.
+SHUTDOWN_GRACE_S = 5.0
 
 
 def _code_for(exc: BaseException) -> str:
@@ -97,16 +102,12 @@ class ServerConfig:
     default_quota: Optional[Quota] = None
     #: Engine result-cache capacity (per worker).
     cache_size: int = 4096
-    #: Threads executing engine batch calls (1 keeps batches serial
-    #: while the loop coalesces the next one; >1 needs nothing extra —
-    #: the engine is constructed thread-safe either way).
-    executor_threads: int = 1
     #: Kernel thread-pool width inside the engine (the
     #: :class:`~repro.serve.engine.ParallelKernelExecutor`): oversized
     #: coalesced batches are split on source-run boundaries and run
-    #: concurrently.  Distinct from ``executor_threads`` (which runs
-    #: whole batches) and from the pre-fork worker count; the speedup
-    #: is real only with the GIL-releasing ``native`` kernels.
+    #: concurrently.  Distinct from the pre-fork worker count (whole
+    #: batches run on each worker's event loop); the speedup is real
+    #: only with the GIL-releasing ``native`` kernels.
     kernel_threads: int = 1
     #: Fleet spool directory: when set, every worker builds its own
     #: telemetry, streams its trace to ``trace-{pid}.jsonl`` in here,
@@ -174,7 +175,7 @@ class IndexProvider:
 
 
 class ReachabilityServer:
-    """One worker: an asyncio acceptor over a thread-safe engine."""
+    """One worker: an asyncio acceptor over a loop-owned engine."""
 
     def __init__(
         self,
@@ -192,8 +193,10 @@ class ReachabilityServer:
         self._started = time.time()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop: Optional[asyncio.Event] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
         self._batcher: Optional[MicroBatcher] = None
+        self._swap_tasks: "set[asyncio.Task]" = set()
+        #: Open connections: handler task -> its stream reader.
+        self._connections: Dict[asyncio.Task, asyncio.StreamReader] = {}
         self._draining = False
         self.admission = AdmissionController(
             max_inflight=self.config.max_inflight,
@@ -364,7 +367,6 @@ class ReachabilityServer:
                 self.provider.open(),
                 cache_size=self.config.cache_size,
                 telemetry=self.telemetry,
-                thread_safe=True,
                 kernel_threads=max(1, self.config.kernel_threads),
             )
 
@@ -390,10 +392,6 @@ class ReachabilityServer:
         loop = asyncio.get_running_loop()
         self._loop = loop
         self._stop = asyncio.Event()
-        self._executor = ThreadPoolExecutor(
-            max_workers=max(1, self.config.executor_threads),
-            thread_name_prefix=f"serve-w{self.worker_id}",
-        )
         self._batcher = MicroBatcher(
             self._execute_batch,
             max_batch=self.config.max_batch,
@@ -410,20 +408,23 @@ class ReachabilityServer:
         if sock is not None:
             if sock.family == getattr(socket_module, "AF_UNIX", None):
                 server = await asyncio.start_unix_server(
-                    self._serve_connection, sock=sock
+                    self._serve_connection, sock=sock,
+                    limit=MAX_FRAME_BYTES,
                 )
             else:
                 server = await asyncio.start_server(
-                    self._serve_connection, sock=sock
+                    self._serve_connection, sock=sock,
+                    limit=MAX_FRAME_BYTES,
                 )
         elif socket_path is not None:
             server = await asyncio.start_unix_server(
-                self._serve_connection, path=socket_path
+                self._serve_connection, path=socket_path,
+                limit=MAX_FRAME_BYTES,
             )
         else:
             server = await asyncio.start_server(
                 self._serve_connection, host=host or "127.0.0.1",
-                port=0 if port is None else port,
+                port=0 if port is None else port, limit=MAX_FRAME_BYTES,
             )
         flush_task = (
             loop.create_task(self._flush_metrics_loop())
@@ -439,7 +440,7 @@ class ReachabilityServer:
             await server.wait_closed()
             # Graceful: every admitted query gets its response.
             await self._batcher.drain()
-            self._executor.shutdown(wait=True)
+            await self._close_connections()
             if flush_task is not None:
                 flush_task.cancel()
             if self._fleet is not None:
@@ -455,6 +456,20 @@ class ReachabilityServer:
                 self.telemetry.tracer.set_sink(None)
                 self._trace_sink.close()
 
+    async def _close_connections(self) -> None:
+        """End every open connection after its queued responses.
+
+        An EOF on each reader lets the handler flush what it owes and
+        close; a handler left for ``asyncio.run`` to cancel instead
+        would log a traceback.  A client that stops reading can hold
+        its handler in ``drain``, so the wait is bounded.
+        """
+        for reader in self._connections.values():
+            reader.feed_eof()
+        if self._connections:
+            await asyncio.wait(list(self._connections),
+                               timeout=SHUTDOWN_GRACE_S)
+
     def stop(self) -> None:
         """Request a graceful stop (thread-safe and signal-safe)."""
         loop, stop = self._loop, self._stop
@@ -469,7 +484,19 @@ class ReachabilityServer:
     def request_hot_swap(self) -> None:
         """Schedule a hot swap on the loop (SIGHUP handler)."""
         if self._loop is not None:
-            self._loop.create_task(self.hot_swap())
+            task = self._loop.create_task(self._signalled_hot_swap())
+            self._swap_tasks.add(task)
+            task.add_done_callback(self._swap_tasks.discard)
+
+    async def _signalled_hot_swap(self) -> None:
+        """A SIGHUP swap has no requester to reply to: a failure is
+        logged as one line and the old index keeps serving."""
+        try:
+            await self.hot_swap()
+        except Exception as exc:  # e.g. the file was replaced corrupt
+            print(f"repro serve: worker {self.worker_id}: hot swap "
+                  f"failed, keeping generation {self.generation}: {exc}",
+                  file=sys.stderr, flush=True)
 
     async def hot_swap(self) -> Dict[str, Any]:
         """Open the index anew and swap it in under live traffic.
@@ -514,9 +541,24 @@ class ReachabilityServer:
         writer_task = asyncio.get_running_loop().create_task(
             self._write_responses(queue, writer)
         )
+        handler = asyncio.current_task()
+        self._connections[handler] = reader
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # The line overran MAX_FRAME_BYTES (asyncio's
+                    # LimitOverrunError, re-raised by readline).
+                    self._count("?", FRAME_TOO_LARGE)
+                    queue.put_nowait(encode_error(
+                        None, FRAME_TOO_LARGE,
+                        f"request line exceeds {MAX_FRAME_BYTES} bytes; "
+                        "closing the connection",
+                    ))
+                    break
+                except ConnectionError:
+                    break  # peer reset: nobody is left to answer
                 if not line:
                     break
                 if line.strip() == b"":
@@ -530,6 +572,7 @@ class ReachabilityServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            del self._connections[handler]
             if obs is not None:
                 obs["open_connections"].add(-1)
 
@@ -682,24 +725,21 @@ class ReachabilityServer:
                              pairs: List[Tuple[Any, Any]],
                              meta: Optional[Dict[str, Any]] = None,
                              ) -> List[bool]:
-        """Run one coalesced batch on the executor thread."""
+        """Run one coalesced batch on the event loop.
+
+        The engine call is pure python under the GIL, so a thread hop
+        would buy no overlap with the loop — only a handoff per batch.
+        """
         op, t1, t2, theta = key
         engine = self.engine
-        loop = asyncio.get_running_loop()
         tracer = (self.telemetry.tracer
                   if self.telemetry is not None else None)
         traced = bool(tracer) and bool(meta and meta.get("traces"))
         started = tracer.now() if traced else 0.0
         try:
             if op == "span":
-                return await loop.run_in_executor(
-                    self._executor,
-                    lambda: engine.span_many(pairs, (t1, t2)),
-                )
-            return await loop.run_in_executor(
-                self._executor,
-                lambda: engine.theta_many(pairs, (t1, t2), theta),
-            )
+                return engine.span_many(pairs, (t1, t2))
+            return engine.theta_many(pairs, (t1, t2), theta)
         finally:
             if traced:
                 # Engine-layer span, linked to the batch span by the

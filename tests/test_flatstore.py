@@ -275,6 +275,92 @@ class TestNumPyKernels:
         assert index.flat_kernels is None
 
 
+@pytest.mark.skipif(not flatkernels.available(),
+                    reason="numpy not importable; the break-even only "
+                           "exists on the numpy kernels")
+class TestBreakEven:
+    """Batches below ``SWEEP_BREAK_EVEN`` pairs per out-interval go to
+    the python kernels; at and above it, to the whole-store sweeps.
+    Answers are identical either side of the line."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        from repro.graph.projection import (
+            span_reaches_bruteforce,
+            theta_reaches_bruteforce,
+        )
+
+        g = random_graph(5, num_vertices=30, num_edges=150, max_time=30)
+        index = TILLIndex.build(g).flatten(backend="python")
+        n = g.num_vertices
+        distinct = [(ui, vi) for ui in range(n) for vi in range(n)
+                    if ui != vi]
+        # A window where ~3/4 of span and ~1/6 of θ answers are True.
+        ws, we, theta = 4, 14, 3
+        label = g.label_of
+        oracle = {
+            (ui, vi): (
+                span_reaches_bruteforce(g, label(ui), label(vi), (ws, we)),
+                theta_reaches_bruteforce(g, label(ui), label(vi), (ws, we),
+                                         theta),
+            )
+            for ui, vi in distinct
+        }
+        return index, distinct, (ws, we, theta), oracle
+
+    @staticmethod
+    def _break_even(kern):
+        """Smallest batch the numpy sweeps take."""
+        return -(-len(kern._o.starts) // flatkernels.SWEEP_BREAK_EVEN)
+
+    @staticmethod
+    def _pairs(distinct, size, seed):
+        import random
+
+        rng = random.Random(seed)
+        return [rng.choice(distinct) for _ in range(size)]
+
+    def test_store_is_wide_enough_to_have_a_break_even(self, setup):
+        index, *_ = setup
+        kern = flatkernels.NumPyFlatKernels(index.flat, index.order.rank)
+        assert self._break_even(kern) > 2
+
+    @pytest.mark.parametrize("where", ["one", "below", "at", "4096"])
+    def test_numpy_python_and_oracle_agree(self, setup, where):
+        index, distinct, (ws, we, theta), oracle = setup
+        store, rank = index.flat, index.order.rank
+        kern = flatkernels.NumPyFlatKernels(store, rank)
+        edge = self._break_even(kern)
+        size = {"one": 1, "below": edge - 1, "at": edge,
+                "4096": 4096}[where]
+        pairs = self._pairs(distinct, size, seed=size)
+        want_span = [oracle[p][0] for p in pairs]
+        want_theta = [oracle[p][1] for p in pairs]
+        assert queries.flat_span_batch(store, rank, pairs, ws, we) \
+            == want_span
+        assert kern.span_batch(pairs, ws, we) == want_span
+        assert queries.flat_theta_batch(store, rank, pairs, ws, we,
+                                        theta) == want_theta
+        assert kern.theta_batch(pairs, ws, we, theta) == want_theta
+
+    def test_below_break_even_runs_no_store_sweep(self, setup):
+        index, distinct, (ws, we, theta), _ = setup
+        kern = flatkernels.NumPyFlatKernels(index.flat, index.order.rank)
+        pairs = self._pairs(distinct, self._break_even(kern) - 1, seed=1)
+        kern.span_batch(pairs, ws, we)
+        kern.theta_batch(pairs, ws, we, theta)
+        for d in (kern._o, kern._i):
+            assert d._best_key is None and d._best is None
+            assert d._mseg_key is None and d._mseg is None
+
+    def test_at_break_even_sweeps_the_store(self, setup):
+        index, distinct, (ws, we, theta), _ = setup
+        kern = flatkernels.NumPyFlatKernels(index.flat, index.order.rank)
+        pairs = self._pairs(distinct, self._break_even(kern), seed=2)
+        kern.span_batch(pairs, ws, we)
+        assert kern._o._best_key == (ws, we)
+
+
 class TestMissingNumPy:
     """The mandatory-fallback half of the backend contract — runs with
     or without a real numpy installed."""

@@ -10,10 +10,14 @@ format check.
 import asyncio
 import contextlib
 import gc
+import logging
 import os
+import socket
+import struct
 import sys
 import tempfile
 import threading
+import time
 
 import pytest
 
@@ -25,6 +29,8 @@ from repro.serve.batching import MicroBatcher
 from repro.serve.client import ServeClient, run_loadgen
 from repro.serve.protocol import (
     BAD_REQUEST,
+    FRAME_TOO_LARGE,
+    INTERNAL,
     OVERLOADED,
     QUOTA_EXCEEDED,
     ProtocolError,
@@ -33,7 +39,12 @@ from repro.serve.protocol import (
     encode_error,
     parse_request,
 )
-from repro.serve.server import IndexProvider, ReachabilityServer, ServerConfig
+from repro.serve.server import (
+    IndexProvider,
+    ReachabilityServer,
+    ServerConfig,
+    bind_socket,
+)
 
 from tests.conftest import random_graph
 
@@ -318,10 +329,19 @@ class TestMicroBatcher:
 
 
 @contextlib.contextmanager
-def running_server(provider, config=None, telemetry=None):
-    """A live server on a scratch Unix socket, torn down on exit."""
+def running_server(provider, config=None, telemetry=None, tcp=False):
+    """A live server on a scratch Unix socket, torn down on exit.
+
+    With ``tcp=True`` it listens on a loopback TCP port instead and
+    yields ``(server, (host, port))``.
+    """
     with tempfile.TemporaryDirectory(prefix="repro-serve-test-") as scratch:
         socket_path = os.path.join(scratch, "serve.sock")
+        listen = {"socket_path": socket_path}
+        if tcp:
+            sock = bind_socket(host="127.0.0.1", port=0)
+            socket_path = sock.getsockname()
+            listen = {"sock": sock}
         server = ReachabilityServer(
             provider, config or ServerConfig(max_batch=32,
                                              batch_delay=0.001),
@@ -332,8 +352,7 @@ def running_server(provider, config=None, telemetry=None):
 
         def run():
             try:
-                asyncio.run(server.serve(socket_path=socket_path,
-                                         ready=ready))
+                asyncio.run(server.serve(ready=ready, **listen))
             except Exception as exc:  # surfaced in the main thread below
                 failure.append(exc)
                 ready.set()
@@ -349,6 +368,8 @@ def running_server(provider, config=None, telemetry=None):
             server.stop()
             thread.join(20)
             assert not thread.is_alive(), "server did not shut down"
+            if tcp:
+                sock.close()
             if failure:
                 raise failure[0]
 
@@ -557,6 +578,128 @@ class TestHotSwap:
         assert all(r["ok"] for r in swap_results)
         generations = [r["result"]["generation"] for r in swap_results]
         assert generations == sorted(generations)  # monotone
+
+
+# ----------------------------------------------------------------------
+# bad clients and failed reloads
+# ----------------------------------------------------------------------
+
+
+def _asyncio_logs(caplog):
+    return [r for r in caplog.records if r.name == "asyncio"
+            and r.levelno >= logging.WARNING]
+
+
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+class TestHostileClients:
+    @pytest.mark.parametrize("tcp", [False, True])
+    def test_oversized_line_gets_frame_too_large_then_close(
+            self, served_graph, served_index, caplog, tcp):
+        provider = IndexProvider(served_graph, flat_backend=None)
+        provider.open = lambda: served_index
+        line = b'{"op":"ping","pad":"' + b"x" * 100_000 + b'"}\n'
+        with running_server(provider, tcp=tcp) as (_server, address):
+            family = socket.AF_INET if tcp else socket.AF_UNIX
+            with socket.socket(family, socket.SOCK_STREAM) as raw:
+                raw.settimeout(10)
+                raw.connect(address)
+                raw.sendall(line)
+                reader = raw.makefile("rb")
+                reply = decode_response(reader.readline())
+                assert reply["ok"] is False
+                assert reply["code"] == FRAME_TOO_LARGE
+                assert reader.readline() == b""  # server closed
+            # The server itself is unaffected.
+            kwargs = ({"host": address[0], "port": address[1]} if tcp
+                      else {"socket_path": address})
+            with ServeClient(**kwargs) as client:
+                assert client.span(0, 1, 1, 10)["ok"]
+        assert _asyncio_logs(caplog) == []
+
+    def test_peer_reset_mid_read_closes_quietly(self, served_graph,
+                                                served_index, caplog):
+        provider = IndexProvider(served_graph, flat_backend=None)
+        provider.open = lambda: served_index
+        with running_server(provider, tcp=True) as (server, address):
+            raw = socket.create_connection(address, timeout=10)
+            # Pipelined queries, then an RST (linger on, timeout 0)
+            # before reading a single answer.
+            raw.sendall(b"".join(
+                b'{"op":"span","u":%d,"v":%d,"t1":1,"t2":10}\n'
+                % (u, (u + 1) % 10) for u in range(10)
+            ))
+            raw.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                           struct.pack("ii", 1, 0))
+            raw.close()
+            _wait_for(lambda: server.admission.inflight == 0
+                      and server.describe()["batcher"]["flushed_queries"]
+                      == 10)
+            with ServeClient(host=address[0], port=address[1]) as client:
+                assert client.span(0, 1, 1, 10)["ok"]
+        assert server.admission.inflight == 0
+        assert _asyncio_logs(caplog) == []
+
+
+class TestFailedReload:
+    @staticmethod
+    def _corrupt(path):
+        """Replace the index file (new inode, so live mappings of the
+        old one stay intact) with bytes that are no index at all."""
+        garbage = path + ".tmp"
+        with open(garbage, "wb") as fh:
+            fh.write(b"this is not a TILL index\n" * 8)
+        os.replace(garbage, path)
+
+    def test_reload_op_failure_keeps_old_index(self, served_graph,
+                                               served_index,
+                                               saved_index_path, caplog):
+        provider = IndexProvider(served_graph, saved_index_path, mmap=True,
+                                 flat_backend=None)
+        want = served_index.span_reachable(0, 1, (1, 10))
+        with running_server(provider) as (server, socket_path):
+            with ServeClient(socket_path=socket_path) as client:
+                assert client.reload()["ok"]
+                generation = server.generation
+                self._corrupt(saved_index_path)
+                reply = client.reload()
+                assert reply["ok"] is False
+                assert reply["code"] == INTERNAL
+                assert reply["error"].startswith("hot swap failed")
+                assert server.generation == generation
+                got = client.span(0, 1, 1, 10)
+                assert got["ok"] and got["answer"] == want
+        assert _asyncio_logs(caplog) == []
+
+    def test_signalled_swap_failure_keeps_old_index(self, served_graph,
+                                                    served_index,
+                                                    saved_index_path,
+                                                    caplog, capsys):
+        provider = IndexProvider(served_graph, saved_index_path, mmap=True,
+                                 flat_backend=None)
+        want = served_index.span_reachable(0, 1, (1, 10))
+        with running_server(provider) as (server, socket_path):
+            generation = server.generation
+            self._corrupt(saved_index_path)
+            # What the SIGHUP handler does, on the server's loop.
+            server._loop.call_soon_threadsafe(server.request_hot_swap)
+            err = []
+            _wait_for(lambda: err.append(capsys.readouterr().err)
+                      or "hot swap failed" in "".join(err))
+            assert server.generation == generation
+            with ServeClient(socket_path=socket_path) as client:
+                got = client.span(0, 1, 1, 10)
+                assert got["ok"] and got["answer"] == want
+        logged = "".join(err)
+        assert logged.count("hot swap failed") == 1
+        assert f"keeping generation {generation}" in logged
+        gc.collect()  # an unretrieved task exception logs on collection
+        assert _asyncio_logs(caplog) == []
 
 
 # ----------------------------------------------------------------------
